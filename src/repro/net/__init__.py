@@ -14,8 +14,8 @@ Modules:
   callbacks, cancellable handles);
 * :mod:`repro.net.message` -- size-accounted message envelopes;
 * :mod:`repro.net.latency` -- pluggable propagation-delay models;
-* :mod:`repro.net.network` -- the network itself: interfaces, unicast,
-  multicast, drops, partitions, serial receive-queues;
+* :mod:`repro.net.network` -- the network itself: unicast, multicast,
+  send hooks, drops, partitions, serial receive-queues;
 * :mod:`repro.net.stats` -- per-node / per-kind traffic accounting;
 * :mod:`repro.net.tracer` -- message-flow capture and sequence diagrams.
 """
@@ -29,7 +29,7 @@ from repro.net.latency import (
     LognormalLatency,
     DistanceLatency,
 )
-from repro.net.network import SimulatedNetwork, NodeInterface
+from repro.net.network import SimulatedNetwork
 from repro.net.stats import TrafficStats, TrafficSnapshot
 from repro.net.tracer import MessageTracer, TraceRow
 
@@ -44,7 +44,6 @@ __all__ = [
     "LognormalLatency",
     "DistanceLatency",
     "SimulatedNetwork",
-    "NodeInterface",
     "TrafficStats",
     "TrafficSnapshot",
     "MessageTracer",

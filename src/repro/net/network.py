@@ -40,23 +40,10 @@ from repro.net.stats import TrafficStats
 #: Type of the callback a node registers to receive processed messages.
 Handler = Callable[[Envelope], None]
 
-
-class NodeInterface:
-    """A node's handle onto the network (returned by ``register``)."""
-
-    __slots__ = ("_network", "node_id")
-
-    def __init__(self, network: "SimulatedNetwork", node_id: int) -> None:
-        self._network = network
-        self.node_id = node_id
-
-    def send(self, dst: int, payload: Payload) -> None:
-        """Unicast *payload* to *dst*."""
-        self._network.send(self.node_id, dst, payload)
-
-    def multicast(self, dsts: Iterable[int], payload: Payload) -> None:
-        """Send *payload* to every id in *dsts* (skipping self)."""
-        self._network.multicast(self.node_id, dsts, payload)
+#: A send hook: ``hook(src, dst, payload) -> taken``.  Returning True
+#: means the hook took the message (dropped it or is holding it) and
+#: the network does not transmit it.
+SendHook = Callable[[int, int, Payload], bool]
 
 
 class SimulatedNetwork:
@@ -68,6 +55,13 @@ class SimulatedNetwork:
         latency: propagation model; defaults to uniform jitter from config.
         rng: random stream for jitter and drops; forked from config.seed
             when omitted.
+
+    Attributes:
+        send_hooks: ordered :data:`SendHook` list :meth:`send` consults
+            before transmitting; the first hook that returns True takes
+            the message.  Observers (the message tracer) return False
+            and sit in front of hooks that take messages (the verify
+            perturber), so they see every attempted send.
     """
 
     def __init__(
@@ -90,6 +84,7 @@ class SimulatedNetwork:
         )
         self.rng = rng or DeterministicRNG(self.config.seed, "network")
         self.stats = TrafficStats()
+        self.send_hooks: list[SendHook] = []
         self._handlers: dict[int, Handler] = {}
         self._busy_until: dict[int, float] = {}
         # sender-side NIC serialization (only when bandwidth modelling on)
@@ -158,7 +153,7 @@ class SimulatedNetwork:
 
     # -- membership -------------------------------------------------------
 
-    def register(self, node_id: int, handler: Handler) -> NodeInterface:
+    def register(self, node_id: int, handler: Handler) -> None:
         """Attach *handler* as the receive callback of *node_id*.
 
         Raises:
@@ -168,7 +163,6 @@ class SimulatedNetwork:
             raise NetworkError(f"node {node_id} already registered")
         self._handlers[node_id] = handler
         self._busy_until[node_id] = 0.0
-        return NodeInterface(self, node_id)
 
     def unregister(self, node_id: int) -> None:
         """Detach a node; in-flight messages to it are dropped on arrival."""
@@ -231,8 +225,20 @@ class SimulatedNetwork:
     # -- sending ------------------------------------------------------------
 
     def send(self, src: int, dst: int, payload: Payload) -> None:
-        """Unicast *payload*; accounting happens even if later dropped,
-        because the bytes left the sender either way."""
+        """Unicast *payload* unless a send hook takes it."""
+        hooks = self.send_hooks
+        if hooks:
+            for hook in hooks:
+                if hook(src, dst, payload):
+                    return
+        self.transmit(src, dst, payload)
+
+    def transmit(self, src: int, dst: int, payload: Payload) -> None:
+        """Unicast *payload* without consulting the send hooks.
+
+        Accounting happens even if the message is later dropped,
+        because the bytes left the sender either way.
+        """
         if src not in self._handlers:
             raise NetworkError(f"unknown sender {src}")
         if payload is self._cached_payload:
@@ -298,10 +304,9 @@ class SimulatedNetwork:
     def multicast(self, src: int, dsts: Iterable[int], payload: Payload) -> None:
         """Send *payload* to every destination in *dsts* except *src*.
 
-        Deliberately routed through :meth:`send` per destination: test
-        and verification harnesses (``SendPerturber``, ``MessageTracer``)
-        wrap ``send`` to observe or perturb each copy, and the
-        encode-once cache already collapses the per-copy payload work.
+        Routed through :meth:`send` per destination, so the send hooks
+        see each copy; the encode-once cache already collapses the
+        per-copy payload work.
         """
         for dst in dsts:
             if dst != src:

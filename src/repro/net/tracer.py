@@ -1,15 +1,15 @@
 """Message-flow tracing: capture and render protocol conversations.
 
-A :class:`MessageTracer` taps the simulated network and records every
-send as a (time, src, dst, kind, bytes) row.  Filters keep captures
-focused ("only pbft.* between endorsers 0-3"), and the renderer prints a
-text sequence diagram -- the fastest way to see *why* a consensus round
-stalled when a test fails.
+A :class:`MessageTracer` hooks the simulated network's send path and
+records every attempted send as a (time, src, dst, kind, bytes) row.
+Filters keep captures focused ("only pbft.* between endorsers 0-3"),
+and the renderer prints a text sequence diagram -- the fastest way to
+see *why* a consensus round stalled when a test fails.
 
-The tracer rides the shared :class:`repro.obs.nettap.NetworkTap`, so it
-coexists with the observability layer's traffic counters on a single
-wrapped ``send`` -- one tap point on the network path, any number of
-subscribers.
+The tracer is an observer on :attr:`SimulatedNetwork.send_hooks
+<repro.net.network.SimulatedNetwork>`: it sits in front of hooks that
+take messages, so a send a perturber then drops or holds is still
+captured, and it never takes a message itself.
 
 Usage::
 
@@ -20,11 +20,13 @@ Usage::
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.common.errors import NetworkError
+from repro.net.message import Payload
 from repro.net.network import SimulatedNetwork
-from repro.obs.nettap import NetworkTap, tap_network
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,10 +41,10 @@ class TraceRow:
 
 
 class MessageTracer:
-    """Taps a network's send path and records matching messages.
+    """Hooks a network's send path and records matching messages.
 
     Args:
-        network: the network to tap (tapped immediately).
+        network: the network to trace (hooked immediately).
         kinds: kind prefixes to keep (empty = everything).
         nodes: when given, keep only messages with src or dst in the set.
         capacity: ring-buffer size; the oldest rows fall off.
@@ -60,11 +62,10 @@ class MessageTracer:
         self.kinds = tuple(kinds)
         self.nodes = set(nodes) if nodes is not None else None
         self.capacity = capacity
-        self.rows: list[TraceRow] = []
+        self.rows: deque[TraceRow] = deque(maxlen=capacity)
         self.dropped = 0
         self._network = network
-        self._tap: NetworkTap = tap_network(network)
-        self._tap.subscribe(self._on_send)
+        network.send_hooks.insert(0, self._on_send)
 
     def _matches(self, src: int, dst: int, kind: str) -> bool:
         if self.kinds and not kind.startswith(self.kinds):
@@ -73,18 +74,20 @@ class MessageTracer:
             return False
         return True
 
-    def _on_send(self, at: float, src: int, dst: int, kind: str, size: int) -> None:
+    def _on_send(self, src: int, dst: int, payload: Payload) -> bool:
+        kind = payload.kind
         if self._matches(src, dst, kind):
-            if len(self.rows) >= self.capacity:
-                self.rows.pop(0)
+            if len(self.rows) == self.capacity:
                 self.dropped += 1
-            self.rows.append(
-                TraceRow(at=at, src=src, dst=dst, kind=kind, size_bytes=size)
-            )
+            self.rows.append(TraceRow(at=self._network.sim.now, src=src, dst=dst,
+                                      kind=kind, size_bytes=payload.size_bytes))
+        return False
 
     def detach(self) -> None:
-        """Stop recording; the shared tap uninstalls itself when idle."""
-        self._tap.unsubscribe(self._on_send)
+        """Stop recording; other send hooks are left in place."""
+        hooks = self._network.send_hooks
+        if self._on_send in hooks:
+            hooks.remove(self._on_send)
 
     # -- queries ---------------------------------------------------------
 
@@ -115,7 +118,7 @@ class MessageTracer:
             limit: rows rendered.
             participants: column order; inferred from traffic if omitted.
         """
-        rows = self.rows[:limit]
+        rows = list(islice(self.rows, limit))
         if not rows:
             return "(no messages captured)"
         if participants is None:

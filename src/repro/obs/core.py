@@ -36,17 +36,21 @@ city-scale pieces, all off by default:
 Zone-sharded runs call :meth:`Observability.for_zone` per zone: the
 clones share one tracer, registry, time-series, and recorder, but
 label frames and rings with their zone.
+
+Traffic is not counted here: ``net.*`` counters and frame traffic are
+read from each bound network's :class:`~repro.net.stats.TrafficStats`.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 from typing import Any
 
 from repro.net.simulator import Simulator
+from repro.net.stats import TrafficStats
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.instruments import Registry
-from repro.obs.nettap import tap_network
 from repro.obs.obsconfig import ObsConfig
 from repro.obs.sampling import HeadSampler
 from repro.obs.spans import Tracer
@@ -63,6 +67,47 @@ DEPTH_EDGES = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 
 #: Frame zone label for captures that never call :meth:`for_zone`.
 DEFAULT_ZONE = "all"
+
+
+class _BoundNetwork:
+    """A bound network's zone label, stats, and traffic framed so far."""
+
+    __slots__ = ("zone", "stats", "messages", "bytes")
+
+    def __init__(self, zone: str, stats: TrafficStats) -> None:
+        self.zone, self.stats = zone, stats
+        self.messages = self.bytes = 0
+
+
+class _NetworkTraffic:
+    """The networks bound to one capture; zone clones share it."""
+
+    def __init__(self) -> None:
+        self.bound: tuple[_BoundNetwork, ...] = ()
+
+    def frame(self, ts: Timeseries, now: float) -> None:
+        """Credit the traffic sent since the last call to the window at *now*."""
+        for bound in self.bound:
+            stats = bound.stats
+            if stats.messages_sent != bound.messages:
+                ts.on_send(bound.zone, stats.bytes_sent - bound.bytes, now,
+                           stats.messages_sent - bound.messages)
+                bound.messages, bound.bytes = stats.messages_sent, stats.bytes_sent
+
+    def sync(self, registry: Registry) -> None:
+        """Set the ``net.*`` counters to the bound networks' totals."""
+        if not self.bound:
+            return
+        sent: collections.Counter[str] = collections.Counter()
+        size: collections.Counter[str] = collections.Counter()
+        for bound in self.bound:
+            sent.update(bound.stats.messages_by_kind)
+            size.update(bound.stats.bytes_by_kind)
+        for name, totals in (("net.messages_sent", sent), ("net.bytes_sent", size)):
+            counter = registry.counter(name)
+            for kind, total in totals.items():
+                child = counter.child(kind)
+                child.inc(total - child.value)
 
 
 class Observability:
@@ -86,6 +131,7 @@ class Observability:
         self.registry = Registry()
         self._bound_sim: Simulator | None = None
         self._zone: str | None = None
+        self._traffic = _NetworkTraffic()
         cfg = self.config
         self.sampler: HeadSampler | None = (
             HeadSampler(cfg.sample_rate) if cfg.sampling_active else None)
@@ -97,7 +143,7 @@ class Observability:
         self.flight: FlightRecorder | None = (
             FlightRecorder(
                 cfg,
-                instruments=self.registry.snapshot,
+                instruments=self.snapshot,
                 frames=(lambda: list(ts.frames_tail)) if ts is not None else None,
             )
             if cfg.flight_active else None)
@@ -122,20 +168,19 @@ class Observability:
         The clone's protocol methods feed the same tracer, registry,
         time-series, and flight recorder, but frames and rings carry
         *zone* instead of the default label.  Bind the clone to the
-        zone's own network to tap its sends under that label.
+        zone's own network to count its traffic under that label.
         """
         clone = copy.copy(self)
         clone._zone = zone
         return clone
 
     def bind(self, sim: Simulator, network: Any | None = None) -> None:
-        """Drive span timestamps from *sim* and tap *network* sends.
+        """Drive span timestamps from *sim* and count *network* traffic.
 
-        Tapping registers ``net.messages_sent`` / ``net.bytes_sent``
-        counters with one labeled child per wire kind.  The tap is the
-        shared one from :func:`repro.obs.nettap.tap_network`, so a
-        :class:`~repro.net.tracer.MessageTracer` on the same network
-        coexists with it on a single wrapped send path.
+        Binding a network registers ``net.messages_sent`` /
+        ``net.bytes_sent`` counters with one labeled child per wire
+        kind, synced from its traffic stats by :meth:`snapshot` and
+        :meth:`finish`; the tick hook frames its traffic per window.
 
         With the time-series or heartbeat active, binding also installs
         the simulator tick hook that closes windows as simulated time
@@ -146,32 +191,25 @@ class Observability:
         self._bound_sim = sim
         self.tracer.bind_clock(lambda: sim.now)
         if network is not None:
-            messages = self.registry.counter("net.messages_sent")
-            size = self.registry.counter("net.bytes_sent")
-            ts = self.timeseries
-            if ts is None:
-                def on_send(at: float, src: int, dst: int, kind: str,
-                            nbytes: int) -> None:
-                    messages.child(kind).inc()
-                    size.child(kind).inc(nbytes)
-            else:
-                zone = self.zone
-
-                def on_send(at: float, src: int, dst: int, kind: str,
-                            nbytes: int) -> None:
-                    messages.child(kind).inc()
-                    size.child(kind).inc(nbytes)
-                    ts.on_send(zone, nbytes, at)
-
-            tap_network(network).subscribe(on_send)
+            self.registry.counter("net.messages_sent")
+            self.registry.counter("net.bytes_sent")
+            self._traffic.bound += (_BoundNetwork(self.zone, network.stats),)
         if self.timeseries is not None or self._hb is not None:
             sim.set_tick_hook(self._on_tick)
+
+    def snapshot(self) -> dict:
+        """Instrument snapshot with the ``net.*`` counters synced."""
+        self._traffic.sync(self.registry)
+        return self.registry.snapshot()
 
     def _on_tick(self, time: float) -> None:
         """Simulator tick hook: flush closed windows, maybe heartbeat."""
         ts = self.timeseries
         sim = self._bound_sim
         if ts is not None:
+            # the clock still reads the last fired event's time, when
+            # every send not yet framed happened
+            self._traffic.frame(ts, self._now())
             flushed = ts.advance(time)
             if sim is not None:
                 ts.pending(sim.pending, time)
@@ -207,7 +245,9 @@ class Observability:
         """Seal the capture: close spans, flush windows, export gauges."""
         if self._bound_sim is not None:
             self._bound_sim.export_instruments(self.registry)
+        self._traffic.sync(self.registry)
         if self.timeseries is not None:
+            self._traffic.frame(self.timeseries, self._now())
             self.timeseries.finish(self._now())
         self.tracer.finish()
 

@@ -212,10 +212,15 @@ class Timeseries:
         """An era switch completed in *zone*."""
         self._acc(zone, now).era_switches += 1
 
-    def on_send(self, zone: str, nbytes: int, now: float) -> None:
-        """One network send in *zone* (fed by the network tap)."""
+    def on_send(self, zone: str, nbytes: int, now: float,
+                messages: int = 1) -> None:
+        """*messages* network sends totalling *nbytes* in *zone*.
+
+        Fed from the bound networks' traffic stats by the facade's
+        tick hook.
+        """
         acc = self._acc(zone, now)
-        acc.messages += 1
+        acc.messages += messages
         acc.bytes += nbytes
 
     def depth(self, zone: str, depth: int, now: float) -> None:

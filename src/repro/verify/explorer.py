@@ -268,16 +268,19 @@ class RunOutcome:
 
 
 class SendPerturber:
-    """Taps a network's send path to drop or delay-reorder messages.
+    """A send hook that drops or delay-reorders messages in windows.
 
-    Attach order matters for replay: the perturber wraps ``network.send``
-    first, and a :class:`~repro.net.tracer.MessageTracer` (when used)
-    wraps the perturber, so traces capture attempted sends while the
+    Appended to :attr:`SimulatedNetwork.send_hooks
+    <repro.net.network.SimulatedNetwork>`, behind any observer: a
+    :class:`~repro.net.tracer.MessageTracer` puts itself in front of
+    the list whatever the attach order, so traces capture attempted
+    sends (including the ones dropped or held here), while the
     scheduled-event stream -- and hence the schedule fingerprint -- is
-    identical with or without tracing.
+    identical with or without tracing.  A held message is released
+    through :meth:`SimulatedNetwork.transmit`, so no hook sees it twice.
 
     Args:
-        network: the network to tap (tapped immediately).
+        network: the network to perturb (hooked immediately).
         rng: stream for the per-message drop/delay coin flips.
     """
 
@@ -285,32 +288,33 @@ class SendPerturber:
         self.network = network
         self.rng = rng
         self.windows: list[Perturbation] = []
-        self._original_send = network.send
-        network.send = self._send  # type: ignore[method-assign]
+        network.send_hooks.append(self._send)
 
     def add_window(self, perturbation: Perturbation) -> None:
         """Arm a ``drop`` or ``delay`` window."""
         self.windows.append(perturbation)
 
-    def _send(self, src: int, dst: int, payload) -> None:
+    def _send(self, src: int, dst: int, payload) -> bool:
         now = self.network.sim.now
         for window in self.windows:
             if window.at <= now < window.until:
                 if window.op == "drop" and self.rng.random() < window.p:
-                    return
+                    return True
                 if window.op == "delay" and self.rng.random() < window.p:
                     self.network.sim.schedule(
                         window.extra_s, self._deliver, src, dst, payload)
-                    return
-        self._original_send(src, dst, payload)
+                    return True
+        return False
 
     def _deliver(self, src: int, dst: int, payload) -> None:
-        """Release a held message into the real send path."""
-        self._original_send(src, dst, payload)
+        """Release a held message into the send path, past the hooks."""
+        self.network.transmit(src, dst, payload)
 
     def detach(self) -> None:
-        """Restore the network's original send path."""
-        self.network.send = self._original_send  # type: ignore[method-assign]
+        """Stop perturbing; other send hooks are left in place."""
+        hooks = self.network.send_hooks
+        if self._send in hooks:
+            hooks.remove(self._send)
 
 
 class ScheduleFingerprint:

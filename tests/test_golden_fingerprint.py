@@ -8,13 +8,20 @@ paper's committee cap (n = 40); any optimization that changes event
 ordering, RNG draw sequence, or message contents shows up here as a
 hard failure rather than a silent semantic drift.
 
+Two smaller perturbed goldens pin the send-hook path: a drop window
+and a delay window (whose held messages are released past the hooks)
+run with the message tracer attached, so trace row counts and the
+traffic totals are pinned next to the fingerprint.
+
 If a test in this file fails after an intentional protocol change (new
 message kind, different timer layout, ...), re-derive the goldens with
 ``repro.verify.explorer.run_schedule`` and update them in the same
 commit that changes the behavior -- never to paper over a perf patch.
 """
 
-from repro.verify.explorer import Schedule, run_schedule
+import pytest
+
+from repro.verify.explorer import Perturbation, Schedule, run_schedule
 
 #: Fixed G-PBFT scenario: 40 nodes, seed 7, five client submissions.
 GOLDEN_GPBFT = {
@@ -47,6 +54,21 @@ GOLDEN_PBFT = {
 }
 
 
+#: Drop and delay windows shared by the perturbed goldens.
+PERTURBATIONS = (
+    Perturbation(op="drop", at=1.5, until=3.0, p=0.1),
+    Perturbation(op="delay", at=1.0, until=5.0, p=0.3, extra_s=0.4),
+)
+
+#: Perturbed, traced goldens: (protocol, n) -> pinned outcome.
+GOLDEN_PERTURBED = {
+    ("pbft", 7): dict(fingerprint="a8f3fddcd8c86c49", events=418,
+                      executed=14, tracer_rows=186, messages_sent=180),
+    ("gpbft", 9): dict(fingerprint="57a33a3151f8dc79", events=1337,
+                       executed=36, tracer_rows=611, messages_sent=593),
+}
+
+
 class TestGoldenGpbft:
     def test_schedule_matches_golden(self):
         out = run_schedule(Schedule(**GOLDEN_GPBFT["schedule"]))
@@ -73,3 +95,18 @@ class TestGoldenPbft:
             for replica in out.host.replicas.values()
         }
         assert digests == {GOLDEN_PBFT["state_digest"]}
+
+
+class TestGoldenPerturbed:
+    @pytest.mark.parametrize("protocol,n", sorted(GOLDEN_PERTURBED))
+    def test_traced_perturbed_schedule_matches_golden(self, protocol, n):
+        golden = GOLDEN_PERTURBED[(protocol, n)]
+        out = run_schedule(
+            Schedule(protocol, n, seed=5, submissions=4, horizon_s=90.0,
+                     perturbations=PERTURBATIONS),
+            with_tracer=True)
+        assert out.result.fingerprint == golden["fingerprint"]
+        assert out.result.events == golden["events"]
+        assert out.result.executed == golden["executed"]
+        assert len(out.tracer.rows) == golden["tracer_rows"]
+        assert out.host.network.stats.messages_sent == golden["messages_sent"]

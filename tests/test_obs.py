@@ -3,8 +3,8 @@
 Covers the three pillars (spans, instruments, export/report), the
 zero-overhead guarantee (an attached observer must not perturb the
 event schedule), byte-identical exports for same-seed captures, the
-shared network tap, and a golden per-phase breakdown for one fixed
-n=10 G-PBFT scenario.
+network's send-hook list, obs traffic counts read from TrafficStats,
+and a golden per-phase breakdown for one fixed n=10 G-PBFT scenario.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.instruments import Counter, Gauge, Histogram, Registry
-from repro.obs.nettap import tap_network
 from repro.obs.report import attribute_phases, era_timeline, percentile, render_report
 from repro.obs.spans import NoopTracer, ObservabilityError, Tracer
 
@@ -169,54 +168,109 @@ class TestInstruments:
         assert list(reg.snapshot()["counters"]) == ["a", "b"]
 
 
-class TestNetworkTap:
-    def _net(self):
+class TestSendHooks:
+    def _net(self, config=None):
         sim = Simulator()
-        net = SimulatedNetwork(sim, GPBFTConfig().network)
+        net = SimulatedNetwork(sim, config or GPBFTConfig().network)
         net.register(0, lambda env: None)
         net.register(1, lambda env: None)
         return sim, net
 
-    def test_single_tap_fans_out_to_subscribers(self):
+    def test_hooks_fan_out_in_order(self):
         from repro.net.message import RawPayload
 
         sim, net = self._net()
-        seen_a, seen_b = [], []
-        tap = tap_network(net)
-        assert tap_network(net) is tap  # get-or-create
-        tap.subscribe(lambda *row: seen_a.append(row))
-        tap.subscribe(lambda *row: seen_b.append(row))
-        net.send(0, 1, RawPayload("a.x", 10))
-        assert seen_a == [(0.0, 0, 1, "a.x", 10)]
-        assert seen_b == seen_a
+        seen = []
 
-    def test_last_unsubscribe_restores_send(self):
+        def observer(tag):
+            def hook(src, dst, payload):
+                seen.append((tag, src, dst, payload))
+                return False
+            return hook
+
+        net.send_hooks.append(observer("a"))
+        net.send_hooks.append(observer("b"))
+        payload = RawPayload("a.x", 10)
+        net.send(0, 1, payload)
+        assert seen == [("a", 0, 1, payload), ("b", 0, 1, payload)]
+        assert net.stats.messages_sent == 1
+
+    def test_taking_hook_stops_later_hooks_and_the_send(self):
+        from repro.net.message import RawPayload
+
         sim, net = self._net()
-        original = SimulatedNetwork.send.__get__(net)
-        fn = lambda *row: None
-        tap = tap_network(net)
-        tap.subscribe(fn)
-        assert net.send != original
-        tap.unsubscribe(fn)
-        assert net.send.__func__ is SimulatedNetwork.send
+        later = []
+        net.send_hooks.append(lambda src, dst, payload: True)
+        net.send_hooks.append(lambda *row: bool(later.append(row)))
+        net.send(0, 1, RawPayload("a.x", 10))
+        assert later == []
+        assert net.stats.messages_sent == 0
 
-    def test_message_tracer_and_obs_share_one_tap(self):
+    def test_removing_hooks_restores_the_plain_path(self):
+        from repro.net.message import RawPayload
+
+        sim, net = self._net()
+        tracer = MessageTracer(net)
+        def hook(src, dst, payload):
+            return True
+
+        net.send_hooks.append(hook)
+        net.send_hooks.remove(hook)
+        tracer.detach()
+        assert net.send_hooks == []
+        assert "send" not in vars(net)  # the class method, never rebound
+        net.send(0, 1, RawPayload("a.x", 10))
+        sim.run()
+        assert net.stats.messages_delivered == 1
+        assert len(tracer.rows) == 0
+
+    def test_message_tracer_and_obs_share_one_network(self):
         from repro.net.message import RawPayload
 
         sim, net = self._net()
         obs = Observability()
         obs.bind(sim, net)
         tracer = MessageTracer(net)
-        assert tap_network(net).subscriber_count == 2
+        assert len(net.send_hooks) == 1  # obs adds no hook
         net.send(0, 1, RawPayload("a.x", 10))
         assert len(tracer.rows) == 1
-        snap = obs.registry.snapshot()
+        snap = obs.snapshot()
         assert snap["counters"]["net.messages_sent"]["total"] == 1
         tracer.detach()
         # obs still counts after the tracer leaves
         net.send(0, 1, RawPayload("a.y", 10))
-        assert obs.registry.snapshot()["counters"]["net.messages_sent"]["total"] == 2
+        assert obs.snapshot()["counters"]["net.messages_sent"]["total"] == 2
         assert len(tracer.rows) == 1
+
+    def test_obs_counts_match_traffic_stats(self):
+        """Obs reads TrafficStats: envelope overhead and bulk charges count."""
+        from repro.common.config import NetworkConfig
+        from repro.net.message import RawPayload
+
+        sim, net = self._net(NetworkConfig(envelope_overhead_bytes=40))
+        obs = Observability()
+        obs.bind(sim, net)
+        net.send(0, 1, RawPayload("a.x", 10))
+        obs.finish()
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["net.bytes_sent"]["total"] == net.stats.bytes_sent == 50
+        # a bulk charge booked straight on the stats (as chain sync does)
+        net.stats.on_send(0, "bulk.sync", 1000)
+        counters = obs.snapshot()["counters"]
+        assert counters["net.bytes_sent"]["total"] == net.stats.bytes_sent == 1050
+        assert counters["net.messages_sent"]["children"] == {"a.x": 1, "bulk.sync": 1}
+
+    def test_frame_traffic_sums_to_traffic_stats(self):
+        from repro.obs.obsconfig import ObsConfig
+
+        cap = capture_run(protocol="gpbft", n=10, submissions=3, seed=2,
+                          horizon_s=30.0, era_switch_at=6.0,
+                          obs_config=ObsConfig(window_s=5.0, timeseries=True))
+        frames = list(cap.obs.timeseries.frames_tail)
+        stats = cap.host.network.stats
+        assert len(frames) > 1
+        assert sum(f["counters"]["messages_sent"] for f in frames) == stats.messages_sent
+        assert sum(f["counters"]["bytes_sent"] for f in frames) == stats.bytes_sent
 
 
 class TestZeroOverhead:

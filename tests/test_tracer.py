@@ -58,7 +58,7 @@ class TestCapture:
         tracer = MessageTracer(net)
         tracer.detach()
         net.send(0, 1, RawPayload("a.x", 100))
-        assert tracer.rows == []
+        assert list(tracer.rows) == []
         sim.run()  # message still delivered through the original path
         assert net.stats.messages_delivered == 1
 
@@ -103,7 +103,7 @@ class TestQueriesAndRendering:
     def test_between_window(self):
         _, tracer = self._traced_consensus()
         everything = tracer.between(0.0, 1e9)
-        assert everything == tracer.rows
+        assert everything == list(tracer.rows)
         assert tracer.between(1e6, 2e6) == []
 
     def test_sequence_render(self):

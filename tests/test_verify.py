@@ -121,6 +121,29 @@ class TestRunSchedule:
         assert traced.result.fingerprint == untraced.fingerprint
         assert traced.tracer is not None
 
+    def test_tracer_detach_leaves_the_perturber_in_place(self):
+        """Detaching a tracer attached before the perturber must not
+        silently disarm the perturber's drop windows."""
+        from repro.common.rng import DeterministicRNG
+        from repro.net.message import RawPayload
+        from repro.net.network import SimulatedNetwork
+        from repro.net.simulator import Simulator
+        from repro.net.tracer import MessageTracer
+        from repro.verify.explorer import SendPerturber
+
+        net = SimulatedNetwork(Simulator())
+        net.register(0, lambda env: None)
+        net.register(1, lambda env: None)
+        tracer = MessageTracer(net)
+        perturber = SendPerturber(net, DeterministicRNG(0, "test"))
+        perturber.add_window(Perturbation(op="drop", at=0.0, until=10.0, p=1.0))
+        tracer.detach()
+        net.send(0, 1, RawPayload("a.x", 10))
+        assert net.stats.messages_sent == 0
+        perturber.detach()
+        net.send(0, 1, RawPayload("a.x", 10))
+        assert net.stats.messages_sent == 1
+
     def test_planted_quorum_bug_trips_the_certificate_monitor(self):
         outcome = run_schedule(_clean(faults=QUORUM_BUG))
         assert not outcome.result.ok
