@@ -12,12 +12,13 @@ G-PBFT row with measured proxies:
 """
 
 from repro.experiments.tables import table4
-from repro.pbft import CrashFaults, PBFTCluster, RawOperation
+from repro.common.config import TopologySpec
+from repro.pbft import CrashFaults, RawOperation
 
 
 def _commits_with_crashes(crashes: int) -> bool:
     faults = {3 - i: CrashFaults(crashed=True) for i in range(crashes)}
-    cluster = PBFTCluster(4, 1, faults=faults)
+    cluster = TopologySpec.cluster(4, 1).build(faults=faults)
     rid = cluster.submit(RawOperation("probe"))
     cluster.run(until=300)
     return rid in cluster.any_client.completed

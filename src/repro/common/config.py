@@ -19,7 +19,6 @@ the simulation; the derivations are documented inline and verified by
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -292,25 +291,6 @@ class GPBFTConfig:
 #: unique across zones while leaving room for sybils appended per zone.
 ZONE_ID_STRIDE = 10_000
 
-#: Constructor-deprecation keys that already warned this process.
-_DEPRECATED_ONCE: set[str] = set()
-
-
-def warn_constructor_deprecated(key: str, message: str) -> None:
-    """Emit a ``DeprecationWarning`` once per process for *key*.
-
-    Legacy keyword-plumbing constructors (``GPBFTDeployment(n_nodes=...)``,
-    ``PBFTCluster(n_replicas=...)``) call this on their first use so
-    existing scripts keep working but see exactly one nudge towards
-    :class:`TopologySpec`.  Tests may clear :data:`_DEPRECATED_ONCE` to
-    re-arm the warning.
-    """
-    if key in _DEPRECATED_ONCE:
-        return
-    _DEPRECATED_ONCE.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
 @dataclass(frozen=True, slots=True)
 class ZoneSpec:
     """Shape of one zone in a :class:`TopologySpec`.
@@ -318,8 +298,8 @@ class ZoneSpec:
     Attributes:
         name: unique short label for the zone (``"z0"``, ...).
         n_nodes: number of IoT nodes placed in the zone.
-        n_endorsers: committee size; ``None`` defers to the committee
-            policy cap exactly like the legacy constructor default.
+        n_endorsers: committee size; ``None`` takes every node up to the
+            committee policy cap (see :meth:`committee_size`).
         region: bounding box the zone's nodes are sampled from; ``None``
             falls back to the deployment default region.
         fixed_fraction: probability that a non-endorser node is
@@ -352,6 +332,8 @@ class ZoneSpec:
         _require(self.n_nodes >= 1, "zone needs at least one node")
         _require(self.n_endorsers is None or self.n_endorsers >= 1,
                  "n_endorsers must be >= 1 when given")
+        _require(self.n_endorsers is None or self.n_endorsers <= self.n_nodes,
+                 "cannot have more endorsers than nodes")
         _require(0.0 <= self.fixed_fraction <= 1.0,
                  "fixed_fraction must lie in [0, 1]")
         _require(self.id_base >= 0, "id_base must be >= 0")
@@ -360,25 +342,38 @@ class ZoneSpec:
         if self.profiles is not None:
             self.profiles.validate_for(self.n_nodes)
 
+    def committee_size(self, policy: CommitteeConfig) -> int:
+        """Genesis committee size under *policy*.
+
+        Defaults to ``min(n_nodes, max_endorsers)``, which is how the
+        paper's sweeps populate the committee ("when the number of nodes
+        is smaller than the maximal value ... all eligible nodes can
+        join", section V-B).
+        """
+        if self.n_endorsers is not None:
+            return self.n_endorsers
+        return min(self.n_nodes, policy.max_endorsers)
+
 
 @dataclass(frozen=True, slots=True)
 class TopologySpec:
     """Declarative description of a whole simulation topology.
 
-    One spec covers all three host shapes, replacing the scattered
-    keyword plumbing that used to live in ``GPBFTDeployment``,
-    ``PBFTCluster`` and the workload builders:
+    One spec covers all three host shapes:
 
     * ``protocol="pbft"`` -- a flat replica cluster
       (:meth:`cluster`),
     * ``protocol="gpbft"`` with one zone -- the paper's single-committee
-      deployment (:meth:`single`), bit-identical to the legacy
-      constructor for the same parameters,
+      deployment (:meth:`single`),
     * ``protocol="gpbft"`` with several zones -- the hierarchical
       deployment with a top-level committee ordering inter-zone traffic
       (:meth:`zoned`).
 
-    Call :meth:`build` to construct the matching host object.
+    Call :meth:`build` to construct the matching host object; it is
+    the only way to build one.  Every shape error (an unknown mode, a
+    PBFT cluster below four replicas, a committee larger than its zone
+    or smaller than ``committee.min_endorsers``) is rejected here, when
+    the spec is constructed.
     """
 
     protocol: str = "gpbft"
@@ -412,7 +407,7 @@ class TopologySpec:
                  "event_capacity must be >= 1 when given")
         if self.protocol == "pbft":
             _require(not self.zones, "pbft topologies take no zones")
-            _require(self.n_replicas >= 1, "n_replicas must be >= 1")
+            _require(self.n_replicas >= 4, "PBFT needs at least 4 replicas")
             _require(self.n_clients >= 1, "n_clients must be >= 1")
             if self.profiles is not None:
                 self.profiles.validate_for(self.n_replicas)
@@ -420,6 +415,12 @@ class TopologySpec:
         _require(self.profiles is None,
                  "gpbft topologies carry profiles per zone (ZoneSpec.profiles)")
         _require(len(self.zones) >= 1, "gpbft topologies need >= 1 zone")
+        policy = (self.config or GPBFTConfig()).committee
+        for zone in self.zones:
+            size = zone.committee_size(policy)
+            _require(size >= policy.min_endorsers,
+                     f"zone {zone.name!r} needs at least "
+                     f"{policy.min_endorsers} endorsers, got {size}")
         names = [zone.name for zone in self.zones]
         _require(len(set(names)) == len(names), "zone names must be unique")
         spans = sorted((zone.id_base, zone.id_base + zone.n_nodes)
@@ -448,9 +449,9 @@ class TopologySpec:
                event_capacity: int | None = None) -> "TopologySpec":
         """The paper's one-committee deployment as a degenerate topology.
 
-        ``TopologySpec.single(...).build()`` is bit-identical (same RNG
-        draw sequence, same schedule fingerprint) to the legacy
-        ``GPBFTDeployment`` keyword constructor with the same values.
+        *n_endorsers* defaults to ``min(n_nodes, max_endorsers)``;
+        *fixed_fraction* is the share of non-endorser devices that are
+        fixed (endorsers are always fixed installations).
         """
         zone = ZoneSpec(name="z0", n_nodes=n_nodes, n_endorsers=n_endorsers,
                         region=region, fixed_fraction=fixed_fraction,
@@ -530,10 +531,9 @@ class TopologySpec:
     def zone_seed(self, index: int) -> int:
         """Deterministic RNG seed for zone *index*.
 
-        Single-zone topologies reuse the topology seed unchanged (this
-        is what keeps the degenerate case bit-identical to the legacy
-        constructor); multi-zone topologies decorrelate zones with a
-        fixed affine derivation.
+        Single-zone topologies reuse the topology seed unchanged (the
+        goldens pin the schedules this seed yields); multi-zone
+        topologies decorrelate zones with a fixed affine derivation.
         """
         _require(0 <= index < len(self.zones), f"no zone {index}")
         if len(self.zones) == 1:
@@ -561,12 +561,6 @@ class TopologySpec:
         _require(len(self.zones) == 1,
                  "deployment_zone() applies to single-zone topologies")
         return self.zones[0]
-
-    def cluster_shape(self) -> tuple[int, int, GPBFTConfig | None]:
-        """``(n_replicas, n_clients, config)`` of a pbft topology."""
-        _require(self.protocol == "pbft",
-                 "cluster_shape() applies to pbft topologies")
-        return self.n_replicas, self.n_clients, self.config
 
     def zone_map(self) -> "ZoneMap":
         """The geometric :class:`repro.geo.zones.ZoneMap` of this spec."""
@@ -605,9 +599,9 @@ class TopologySpec:
         """
         if self.protocol == "pbft":
             from repro.pbft.cluster import PBFTCluster
-            return PBFTCluster(self, faults=faults, sim=sim, obs=obs)
+            return PBFTCluster(self, sim=sim, faults=faults, obs=obs)
         if len(self.zones) == 1:
             from repro.core.deployment import GPBFTDeployment
             return GPBFTDeployment(self, sim=sim, faults=faults, obs=obs)
         from repro.core.hierarchy import HierarchicalDeployment
-        return HierarchicalDeployment(self, sim=sim, obs=obs, faults=faults)
+        return HierarchicalDeployment(self, sim=sim, faults=faults, obs=obs)

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common.config import (
-    GPBFTConfig,
-    TopologySpec,
-    warn_constructor_deprecated,
-)
+from repro.common.config import GPBFTConfig, TopologySpec
 from repro.common.errors import ConsensusError
 from repro.common.eventlog import EventLog
 from repro.common.rng import DeterministicRNG
@@ -36,107 +32,45 @@ DEFAULT_REGION = Region.around(LatLng(22.3193, 114.1694), half_side_m=500.0)
 class GPBFTDeployment:
     """N IoT nodes running G-PBFT in one simulated region.
 
-    The preferred constructor argument is a single-zone
-    :class:`~repro.common.config.TopologySpec` (build one with
-    ``TopologySpec.single(...)``); the legacy keyword signature below
-    still works but emits a one-shot ``DeprecationWarning``.
+    Build one with ``TopologySpec.single(...).build()``; the spec
+    carries every shape value (node and committee counts, region,
+    ordering mode, seed, Sybil defence, ...).
 
     Args:
-        n_nodes: a :class:`TopologySpec`, or (legacy) the total number
-            of participating nodes (endorsers + plain devices).
-        n_endorsers: size of the genesis committee; defaults to
-            ``min(n_nodes, max_endorsers)``, which is how the paper's
-            sweeps populate the committee ("when the number of nodes is
-            smaller than the maximal value ... all eligible nodes can
-            join", section V-B).
-        config: protocol configuration bundle.
-        region: deployment area; nodes are placed uniformly inside.
-        mode: ``"per_tx"`` or ``"block"`` ordering (see
-            :class:`~repro.core.node.GPBFTNode`).
-        fixed_fraction: fraction of *non-endorser* devices that are
-            fixed (endorsers are always fixed installations).
-        seed: experiment seed (placement, report jitter, network).
+        spec: a single-zone :class:`~repro.common.config.TopologySpec`.
         sim: pass an existing simulator to co-host other components.
-        start_reports: arm every node's periodic geo-report loop.
-        block_interval_s: producer cadence in block mode.
-        sybil_protection: install the geographic report-admission filter
-            (exclusivity + witness corroboration) on every endorser.
-        witness_range_m: device observation range for the witness oracle.
         faults: node id -> fault model (crash/byzantine injection).
+        obs: optional observability sink.
     """
 
     def __init__(
         self,
-        n_nodes: TopologySpec | int | None = None,
-        n_endorsers: int | None = None,
-        config: GPBFTConfig | None = None,
-        region: Region = DEFAULT_REGION,
-        mode: str = "per_tx",
-        fixed_fraction: float = 1.0,
-        seed: int = 0,
+        spec: TopologySpec,
         sim: Simulator | None = None,
-        start_reports: bool = True,
-        block_interval_s: float = 5.0,
-        sybil_protection: bool = False,
-        witness_range_m: float = 150.0,
         faults: dict | None = None,
         obs: "Observability | None" = None,
     ) -> None:
-        id_base = 0
-        profiles = None
-        if isinstance(n_nodes, TopologySpec):
-            self.spec = n_nodes
-            zone = self.spec.deployment_zone()
-            profiles = zone.profiles
-            n_nodes = zone.n_nodes
-            n_endorsers = zone.n_endorsers
-            config = self.spec.config
-            region = zone.region if zone.region is not None else DEFAULT_REGION
-            mode = self.spec.mode
-            fixed_fraction = zone.fixed_fraction
-            seed = self.spec.zone_seed(0)
-            start_reports = self.spec.start_reports
-            block_interval_s = self.spec.block_interval_s
-            sybil_protection = self.spec.sybil_protection
-            witness_range_m = self.spec.witness_range_m
-            id_base = zone.id_base
-        else:
-            if n_nodes is None:
-                raise ConsensusError(
-                    "GPBFTDeployment needs a TopologySpec or n_nodes")
-            self.spec = None
-            warn_constructor_deprecated(
-                "GPBFTDeployment",
-                "building GPBFTDeployment from raw keywords is deprecated; "
-                "construct it via TopologySpec.single(...).build() "
-                "(see docs/hierarchy.md)",
-            )
-        self.id_base = id_base
-        self.config = config or GPBFTConfig()
+        self.spec = spec
+        zone = spec.deployment_zone()
+        self.id_base = id_base = zone.id_base
+        self.config = spec.config or GPBFTConfig()
         policy = self.config.committee
-        if n_endorsers is None:
-            n_endorsers = min(n_nodes, policy.max_endorsers)
-        if n_endorsers < policy.min_endorsers:
-            raise ConsensusError(
-                f"need at least {policy.min_endorsers} endorsers, got {n_endorsers}"
-            )
-        if n_endorsers > n_nodes:
-            raise ConsensusError("cannot have more endorsers than nodes")
-        if not 0.0 <= fixed_fraction <= 1.0:
-            raise ConsensusError("fixed_fraction must be in [0, 1]")
+        n_nodes = zone.n_nodes
+        n_endorsers = zone.committee_size(policy)
+        region = zone.region if zone.region is not None else DEFAULT_REGION
+        seed = spec.zone_seed(0)
 
         self.sim = sim or Simulator()
         self.rng = DeterministicRNG(seed, "deployment")
         self.network = SimulatedNetwork(
             self.sim, self.config.network, rng=DeterministicRNG(seed, "network")
         )
-        self.events = EventLog(
-            capacity=self.spec.event_capacity if self.spec is not None else None)
+        self.events = EventLog(capacity=spec.event_capacity)
         self.obs = obs
         if obs is not None:
             obs.bind(self.sim, self.network)
         self.region = region
-        self.mode = mode
+        self.mode = spec.mode
         self.monitors = None
         if self.config.verify.monitors:
             from repro.verify.invariants import MonitorHarness
@@ -165,13 +99,14 @@ class GPBFTDeployment:
         # heterogeneous hardware profiles (empty map = uniform fleet;
         # the wiring below is then a structural no-op, keeping the
         # unprofiled path bit-identical)
-        self.profiles = profiles
+        self.profiles = zone.profiles
         self.profile_map: dict[int, object] = (
-            profiles.assign(range(id_base, id_base + n_nodes))
-            if profiles is not None else {})
+            zone.profiles.assign(range(id_base, id_base + n_nodes))
+            if zone.profiles is not None else {})
         self.availability: list = []
         for node_id in range(id_base, id_base + n_nodes):
-            fixed = node_id in endorser_ids or placement.random() < fixed_fraction
+            fixed = (node_id in endorser_ids
+                     or placement.random() < zone.fixed_fraction)
             node = GPBFTNode(
                 node_id=node_id,
                 position=self.positions[node_id],
@@ -183,8 +118,8 @@ class GPBFTDeployment:
                 event_log=self.events,
                 rng=self.rng.fork(f"node/{node_id}"),
                 fixed=fixed,
-                mode=mode,
-                block_interval_s=block_interval_s,
+                mode=self.mode,
+                block_interval_s=spec.block_interval_s,
                 faults=(faults or {}).get(node_id),
                 obs=obs,
                 profile=self.profile_map.get(node_id),
@@ -192,34 +127,42 @@ class GPBFTDeployment:
             node._chain_sync_hook = self._chain_sync
             self.nodes[node_id] = node
             self.network.register(node_id, node.on_envelope)
-            if start_reports:
+            if spec.start_reports:
                 node.start_reporting()
         if self.profile_map:
             self._apply_profiles()
 
         # -- Sybil defence -----------------------------------------------------
-        self.sybil_protection = sybil_protection
-        self.witness_range_m = witness_range_m
+        self.sybil_protection = spec.sybil_protection
+        self.witness_range_m = spec.witness_range_m
         self._oracle = None
-        if sybil_protection:
-            from repro.geo.verification import LocationAuditor
-            from repro.sybil.detection import GroundTruthWitnessOracle, ReportAdmission
+        if spec.sybil_protection:
+            from repro.sybil.detection import GroundTruthWitnessOracle
 
-            self._oracle = GroundTruthWitnessOracle(self.directory, witness_range_m)
+            self._oracle = GroundTruthWitnessOracle(self.directory,
+                                                    spec.witness_range_m)
             for _, node in sorted(self.nodes.items()):
-                node.admission = ReportAdmission(
-                    LocationAuditor(
-                        witness_range_m=witness_range_m,
-                        precision=self.config.election.csc_precision,
-                        # a cell claim holds for a full reporting round: one 1 m^2
-                        # cell hosts one fixed device, so a second identity
-                        # claiming it inside the round is a duplicate
-                        round_seconds=self.config.election.report_interval_s,
-                    ),
-                    self._oracle,
-                )
-        self._start_reports = start_reports
+                self._install_admission(node)
+        self._start_reports = spec.start_reports
         self._next_node_id = id_base + n_nodes
+
+    def _install_admission(self, node: GPBFTNode) -> None:
+        """Give *node* the geographic report-admission filter
+        (exclusivity + witness corroboration) of the Sybil defence."""
+        from repro.geo.verification import LocationAuditor
+        from repro.sybil.detection import ReportAdmission
+
+        node.admission = ReportAdmission(
+            LocationAuditor(
+                witness_range_m=self.witness_range_m,
+                precision=self.config.election.csc_precision,
+                # a cell claim holds for a full reporting round: one 1 m^2
+                # cell hosts one fixed device, so a second identity
+                # claiming it inside the round is a duplicate
+                round_seconds=self.config.election.report_interval_s,
+            ),
+            self._oracle,
+        )
 
     # ------------------------------------------------------------------
 
@@ -308,9 +251,7 @@ class GPBFTDeployment:
             The :class:`~repro.sybil.attacker.SybilAttacker` holding the
             created identities.
         """
-        from repro.geo.verification import LocationAuditor
         from repro.sybil.attacker import SybilAttacker, SybilStrategy
-        from repro.sybil.detection import ReportAdmission
 
         strategy = strategy or SybilStrategy.EMPTY_CELL
         attacker = SybilAttacker(
@@ -342,18 +283,8 @@ class GPBFTDeployment:
             self.network.register(identity.node_id, node.on_envelope)
             # physics: the attacker's hardware sits at its true position
             self.directory[identity.node_id] = identity.true_position
-            if self.sybil_protection and self._oracle is not None:
-                node.admission = ReportAdmission(
-                    LocationAuditor(
-                        witness_range_m=self.witness_range_m,
-                        precision=self.config.election.csc_precision,
-                        # a cell claim holds for a full reporting round: one 1 m^2
-                        # cell hosts one fixed device, so a second identity
-                        # claiming it inside the round is a duplicate
-                        round_seconds=self.config.election.report_interval_s,
-                    ),
-                    self._oracle,
-                )
+            if self._oracle is not None:
+                self._install_admission(node)
             if self._start_reports:
                 node.start_reporting()
         return attacker

@@ -238,11 +238,11 @@ class HierarchicalDeployment:
         spec: a multi-zone gpbft :class:`TopologySpec` (from
             ``TopologySpec.zoned(...)``).
         sim: pass an existing simulator to co-host other components.
-        obs: optional observability sink, shared by every layer.
         faults: fault models. Keys holding a model with
             ``xzone_bypass=True`` are interpreted as *zone indices*
             (gateway faults); every other key is a *global node id*
             routed to its zone's deployment.
+        obs: optional observability sink, shared by every layer.
 
     Attributes:
         zones: the per-zone :class:`GPBFTDeployment` objects, in order.
@@ -253,8 +253,8 @@ class HierarchicalDeployment:
     """
 
     def __init__(self, spec: TopologySpec, sim: Simulator | None = None,
-                 obs: "Observability | None" = None,
-                 faults: dict[int, FaultModel] | None = None) -> None:
+                 faults: dict[int, FaultModel] | None = None,
+                 obs: "Observability | None" = None) -> None:
         if spec.protocol != "gpbft" or spec.n_zones < 2:
             raise ConsensusError(
                 "HierarchicalDeployment needs a multi-zone gpbft TopologySpec")
@@ -294,8 +294,8 @@ class HierarchicalDeployment:
                 if zone.id_base <= node_id < zone.id_base + zone.n_nodes
             }
             self.zones.append(GPBFTDeployment(
-                spec.zone_topology(index), sim=self.sim, obs=obs,
-                faults=zone_faults))
+                spec.zone_topology(index), sim=self.sim, faults=zone_faults,
+                obs=obs))
         self.nodes = {}
         for dep in self.zones:
             self.nodes.update(dep.nodes)

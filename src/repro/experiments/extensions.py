@@ -14,17 +14,20 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.common.config import CommitteeConfig, EraConfig, GPBFTConfig
+from repro.common.config import (
+    CommitteeConfig,
+    EraConfig,
+    GPBFTConfig,
+    TopologySpec,
+)
 from repro.common.eventlog import EV_REQUEST_COMPLETED
 from repro.common.rng import DeterministicRNG
-from repro.core.deployment import GPBFTDeployment
 from repro.core.messages import TxOperation
 from repro.experiments.engine import Engine, PointSpec
 from repro.experiments.figures import FigureResult
 from repro.experiments.runner import TX_OP_BYTES, _note_events
 from repro.metrics.collector import SweepResult, render_series
 from repro.metrics.throughput import throughput_from_events
-from repro.pbft.cluster import PBFTCluster
 from repro.pbft.messages import RawOperation
 
 
@@ -39,7 +42,7 @@ def _saturating_config(seed: int, max_endorsers: int) -> GPBFTConfig:
 
 def _pbft_tps(n: int, seed: int, offered_interval_s: float, horizon_s: float) -> float:
     config = _saturating_config(seed, max_endorsers=max(n, 4))
-    cluster = PBFTCluster(n_replicas=n, n_clients=4, config=config)
+    cluster = TopologySpec.cluster(n, 4, config=config).build()
     client_ids = sorted(cluster.clients)
     t, k = 1.0, 0
     while t < horizon_s:
@@ -58,8 +61,8 @@ def _pbft_tps(n: int, seed: int, offered_interval_s: float, horizon_s: float) ->
 def _gpbft_tps(n: int, seed: int, offered_interval_s: float, horizon_s: float,
                max_endorsers: int) -> float:
     config = _saturating_config(seed, max_endorsers=max_endorsers)
-    dep = GPBFTDeployment(n_nodes=n, n_endorsers=min(n, max_endorsers),
-                          config=config, seed=seed, start_reports=False)
+    dep = TopologySpec.single(n, min(n, max_endorsers), config=config,
+                              seed=seed, start_reports=False).build()
     node_ids = sorted(dep.nodes)
     rng = DeterministicRNG(seed, "tps")
     t, k = 1.0, 0
@@ -122,8 +125,8 @@ def _era_churn_point(interval: float, horizon_s: float,
                      offered_interval_s: float, seed: int) -> float:
     """Mean commit latency with era switches forced every *interval* s."""
     config = _saturating_config(seed, max_endorsers=8)
-    dep = GPBFTDeployment(n_nodes=10, n_endorsers=8, config=config,
-                          seed=seed, start_reports=False)
+    dep = TopologySpec.single(10, 8, config=config, seed=seed,
+                              start_reports=False).build()
 
     def reschedule(d=dep, period=interval):
         d.force_era_switch()

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common.config import (
-    GPBFTConfig,
-    TopologySpec,
-    warn_constructor_deprecated,
-)
+from repro.common.config import GPBFTConfig, TopologySpec
 from repro.common.errors import ConsensusError
 from repro.common.eventlog import EV_PBFT_STATE_TRANSFER, EventLog
 from repro.crypto.hashing import sha256
@@ -68,58 +64,38 @@ class _ExecutedLog:
 class PBFTCluster:
     """N replicas + M clients on a fresh simulator and network.
 
-    The preferred constructor argument is a pbft
-    :class:`~repro.common.config.TopologySpec` (build one with
-    ``TopologySpec.cluster(...)``); the legacy keyword signature below
-    still works but emits a one-shot ``DeprecationWarning``.
+    Build one with ``TopologySpec.cluster(...).build()``; the spec
+    carries the replica and client counts, the configuration bundle
+    (network + pbft sections used) and any hardware profiles.
 
     Args:
-        n_replicas: a :class:`TopologySpec`, or (legacy) the committee
-            size (>= 4).
-        n_clients: number of client endpoints (ids follow the replicas).
-        config: full configuration bundle (network + pbft sections used).
-        faults: optional map replica id -> :class:`FaultModel`.
+        spec: a pbft :class:`~repro.common.config.TopologySpec`.
         sim: pass an existing simulator to co-host other components.
+        faults: optional map replica id -> :class:`FaultModel`.
+        obs: optional observability sink.
 
     Attributes:
         replicas: id -> :class:`PBFTReplica`.
-        clients: id -> :class:`PBFTClient`.
+        clients: id -> :class:`PBFTClient` (ids follow the replicas).
         events: shared :class:`EventLog` with submission/commit events.
     """
 
     def __init__(
         self,
-        n_replicas: TopologySpec | int = 4,
-        n_clients: int = 1,
-        config: GPBFTConfig | None = None,
-        faults: dict[int, FaultModel] | None = None,
+        spec: TopologySpec,
         sim: Simulator | None = None,
+        faults: dict[int, FaultModel] | None = None,
         obs: "Observability | None" = None,
     ) -> None:
-        if isinstance(n_replicas, TopologySpec):
-            self.spec = n_replicas
-            n_replicas, n_clients, config = self.spec.cluster_shape()
-        else:
-            self.spec = None
-            warn_constructor_deprecated(
-                "PBFTCluster",
-                "building PBFTCluster from raw keywords is deprecated; "
-                "construct it via TopologySpec.cluster(...).build() "
-                "(see docs/hierarchy.md)",
-            )
-        if n_replicas < 4:
-            raise ConsensusError("PBFT needs at least 4 replicas")
-        if n_clients < 0:
-            raise ConsensusError("n_clients must be >= 0")
-        self.config = config or GPBFTConfig()
+        self.spec = spec
+        self.config = spec.config or GPBFTConfig()
         self.sim = sim or Simulator()
         self.network = SimulatedNetwork(self.sim, self.config.network)
-        self.events = EventLog(
-            capacity=self.spec.event_capacity if self.spec is not None else None)
+        self.events = EventLog(capacity=spec.event_capacity)
         self.obs = obs
         if obs is not None:
             obs.bind(self.sim, self.network)
-        self.committee = tuple(range(n_replicas))
+        self.committee = tuple(range(spec.n_replicas))
         self.monitors = None
         if self.config.verify.monitors:
             from repro.verify.invariants import MonitorHarness
@@ -153,9 +129,8 @@ class PBFTCluster:
         # heterogeneous replica hardware: CPU class scales each
         # replica's receive-side processing rate (no mix = no-op)
         self.profile_map: dict[int, object] = {}
-        profiles = self.spec.profiles if self.spec is not None else None
-        if profiles is not None:
-            self.profile_map = profiles.assign(self.committee)
+        if spec.profiles is not None:
+            self.profile_map = spec.profiles.assign(self.committee)
             base_rate = self.config.network.processing_rate
             for node in self.committee:
                 profile = self.profile_map[node]
@@ -164,8 +139,8 @@ class PBFTCluster:
                         node, profile.processing_interval_s(base_rate))
 
         self.clients: dict[int, PBFTClient] = {}
-        for i in range(n_clients):
-            node = n_replicas + i
+        for i in range(spec.n_clients):
+            node = spec.n_replicas + i
             client = PBFTClient(
                 node_id=node,
                 committee=self.committee,
@@ -216,9 +191,7 @@ class PBFTCluster:
 
     @property
     def any_client(self) -> PBFTClient:
-        """The lowest-id client (most tests use exactly one)."""
-        if not self.clients:
-            raise ConsensusError("cluster has no clients")
+        """The lowest-id client (a spec always has at least one)."""
         return self.clients[min(self.clients)]
 
     def submit(self, op: Operation, client_id: int | None = None) -> str:

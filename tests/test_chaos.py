@@ -17,9 +17,14 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import GPBFTConfig, NetworkConfig, PBFTConfig, VerifyConfig
-from repro.core import GPBFTDeployment
-from repro.pbft import CrashFaults, PBFTCluster, RawOperation
+from repro.common.config import (
+    GPBFTConfig,
+    NetworkConfig,
+    PBFTConfig,
+    TopologySpec,
+    VerifyConfig,
+)
+from repro.pbft import CrashFaults, RawOperation
 from repro.common.eventlog import EV_ERA_SWITCH_COMPLETED
 
 N_REPLICAS = 7  # f = 2
@@ -58,7 +63,8 @@ class TestPBFTChaos:
         self, script, submissions, seed
     ):
         faults = {i: CrashFaults() for i in range(N_REPLICAS)}
-        cluster = PBFTCluster(N_REPLICAS, 1, config=_config(seed), faults=faults)
+        cluster = TopologySpec.cluster(N_REPLICAS, 1, config=_config(seed)).build(
+            faults=faults)
         for at, replica, crash in script:
             target = faults[replica]
             cluster.sim.schedule_at(
@@ -93,7 +99,8 @@ class TestPBFTChaos:
         # exactly f = 2 replicas crash and later recover: every request
         # must eventually commit
         faults = {5: CrashFaults(), 6: CrashFaults()}
-        cluster = PBFTCluster(N_REPLICAS, 1, config=_config(seed), faults=faults)
+        cluster = TopologySpec.cluster(N_REPLICAS, 1, config=_config(seed)).build(
+            faults=faults)
         for _, target in sorted(faults.items()):
             cluster.sim.schedule_at(crash_at, target.crash)
             cluster.sim.schedule_at(crash_at + recover_after, target.recover)
@@ -110,7 +117,8 @@ class TestPBFTChaos:
            seed=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=10, deadline=None)
     def test_agreement_under_random_message_loss(self, drop, seed):
-        cluster = PBFTCluster(N_REPLICAS, 1, config=_config(seed, drop=drop))
+        cluster = TopologySpec.cluster(N_REPLICAS, 1,
+                                       config=_config(seed, drop=drop)).build()
         for k in range(4):
             cluster.sim.schedule_at(1.0 + 10.0 * k, cluster.any_client.submit,
                                     RawOperation(f"lossy-{k}"))
@@ -126,8 +134,8 @@ class TestGPBFTChaos:
     @settings(max_examples=15, deadline=None)
     def test_ledgers_never_fork_under_crash_schedules(self, script, seed):
         faults = {i: CrashFaults() for i in range(6)}
-        dep = GPBFTDeployment(n_nodes=9, n_endorsers=6, config=_config(seed),
-                              seed=seed, start_reports=False, faults=faults)
+        dep = TopologySpec.single(9, 6, config=_config(seed), seed=seed,
+                                  start_reports=False).build(faults=faults)
         for at, replica, crash in script:
             if replica < 6:
                 target = faults[replica]
@@ -146,8 +154,8 @@ class TestGPBFTChaos:
         # commit exactly once, atomically, with no ledger fork -- the
         # era-atomicity and prefix-consistency monitors watch the whole
         # run
-        dep = GPBFTDeployment(n_nodes=6, n_endorsers=4, config=_config(17),
-                              seed=17, start_reports=False)
+        dep = TopologySpec.single(6, 4, config=_config(17), seed=17,
+                                  start_reports=False).build()
         dep.sim.schedule_at(1.0, dep.submit_from, 4)
         # devices must be listed explicitly: unlisted nodes fall into
         # the implicit group -1 and would be cut off from both halves

@@ -106,9 +106,10 @@ class TestSvgOutput:
 class TestTrafficMeasureHelper:
     def test_measure_single_tx_cost(self):
         from repro.metrics.traffic import measure_single_tx_cost
-        from repro.pbft import PBFTCluster, RawOperation
+        from repro.common.config import TopologySpec
+        from repro.pbft import RawOperation
 
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
 
         def run_tx():
             cluster.submit(RawOperation("one"))

@@ -8,8 +8,7 @@ era switch replaces them.
 
 import pytest
 
-from repro.common.config import PBFTConfig, GPBFTConfig
-from repro.core import GPBFTDeployment
+from repro.common.config import PBFTConfig, GPBFTConfig, TopologySpec
 from repro.pbft.faults import CrashFaults, EquivocatingFaults
 from repro.common.eventlog import EV_TX_COMMITTED
 
@@ -23,22 +22,18 @@ def fast_config():
 class TestCommitteeFaults:
     def test_f_crashed_endorsers_tolerated(self):
         # committee of 7: f = 2
-        dep = GPBFTDeployment(
-            n_nodes=10, n_endorsers=7, config=fast_config(), seed=50,
-            start_reports=False,
-            faults={5: CrashFaults(crashed=True), 6: CrashFaults(crashed=True)},
-        )
+        dep = TopologySpec.single(10, 7, config=fast_config(), seed=50,
+                                  start_reports=False).build(
+            faults={5: CrashFaults(crashed=True), 6: CrashFaults(crashed=True)})
         rid = dep.submit_from(9)
         dep.run(until=600)
         assert rid in dep.nodes[9].client.completed
         assert dep.ledgers_consistent()
 
     def test_crashed_primary_inside_committee_recovered(self):
-        dep = GPBFTDeployment(
-            n_nodes=8, n_endorsers=4, config=fast_config(), seed=51,
-            start_reports=False,
-            faults={0: CrashFaults(crashed=True)},
-        )
+        dep = TopologySpec.single(8, 4, config=fast_config(), seed=51,
+                                  start_reports=False).build(
+            faults={0: CrashFaults(crashed=True)})
         rid = dep.submit_from(7)
         dep.run(until=2000)
         assert rid in dep.nodes[7].client.completed
@@ -46,31 +41,25 @@ class TestCommitteeFaults:
         assert views == {1}
 
     def test_too_many_crashes_block_progress(self):
-        dep = GPBFTDeployment(
-            n_nodes=8, n_endorsers=4, config=fast_config(), seed=52,
-            start_reports=False,
-            faults={2: CrashFaults(crashed=True), 3: CrashFaults(crashed=True)},
-        )
+        dep = TopologySpec.single(8, 4, config=fast_config(), seed=52,
+                                  start_reports=False).build(
+            faults={2: CrashFaults(crashed=True), 3: CrashFaults(crashed=True)})
         rid = dep.submit_from(7)
         dep.run(until=2000)
         assert rid not in dep.nodes[7].client.completed
 
     def test_equivocating_endorser_cannot_split_ledgers(self):
-        dep = GPBFTDeployment(
-            n_nodes=8, n_endorsers=4, config=fast_config(), seed=53,
-            start_reports=False,
-            faults={0: EquivocatingFaults()},
-        )
+        dep = TopologySpec.single(8, 4, config=fast_config(), seed=53,
+                                  start_reports=False).build(
+            faults={0: EquivocatingFaults()})
         dep.submit_from(6)
         dep.run(until=2000)
         assert dep.ledgers_consistent()
 
     def test_honest_devices_unaffected_by_crashed_device(self):
-        dep = GPBFTDeployment(
-            n_nodes=8, n_endorsers=4, config=fast_config(), seed=54,
-            start_reports=False,
-            faults={7: CrashFaults(crashed=True)},  # a *device* crashes
-        )
+        dep = TopologySpec.single(8, 4, config=fast_config(), seed=54,
+                                  start_reports=False).build(
+            faults={7: CrashFaults(crashed=True)})  # a *device* crashes
         rid = dep.submit_from(6)
         dep.run(until=600)
         assert rid in dep.nodes[6].client.completed
@@ -81,11 +70,10 @@ class TestBlockModeFaults:
         # with a deterministic (era, height) lottery a crashed winner
         # would block the chain forever; the attempt-salted fallback
         # must rotate production to a live endorser
-        dep = GPBFTDeployment(
-            n_nodes=10, n_endorsers=4, config=fast_config(), seed=58,
-            mode="block", block_interval_s=2.0, start_reports=False,
-            faults={1: CrashFaults(crashed=True)},
-        )
+        dep = TopologySpec.single(10, 4, config=fast_config(), seed=58,
+                                  mode="block", block_interval_s=2.0,
+                                  start_reports=False).build(
+            faults={1: CrashFaults(crashed=True)})
         for device in range(5, 10):
             dep.submit_from(device)
         dep.run(until=600)
@@ -102,8 +90,8 @@ class TestNetworkFaults:
 
         config = fast_config()
         config = config.replace(network=replace(config.network, drop_probability=0.05))
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=4, config=config, seed=55,
-                              start_reports=False)
+        dep = TopologySpec.single(8, 4, config=config, seed=55,
+                                  start_reports=False).build()
         rids = [dep.submit_from(i) for i in (5, 6, 7)]
         dep.run(until=5000)
         done = dep.completed_latencies()
@@ -111,8 +99,8 @@ class TestNetworkFaults:
         assert dep.ledgers_consistent()
 
     def test_partition_heals(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=4, config=fast_config(),
-                              seed=56, start_reports=False)
+        dep = TopologySpec.single(8, 4, config=fast_config(), seed=56,
+                                  start_reports=False).build()
         # isolate endorsers {2, 3}: no quorum on either side
         dep.network.set_partition({0: 1, 1: 1, 2: 2, 3: 2})
         rid = dep.submit_from(6)
@@ -124,8 +112,8 @@ class TestNetworkFaults:
         assert dep.ledgers_consistent()
 
     def test_offline_endorser_comes_back(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=5, config=fast_config(),
-                              seed=57, start_reports=False)
+        dep = TopologySpec.single(8, 5, config=fast_config(), seed=57,
+                                  start_reports=False).build()
         dep.network.set_offline(4)
         rid = dep.submit_from(7)
         dep.run(until=600)

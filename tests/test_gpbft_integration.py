@@ -14,8 +14,9 @@ from repro.common.config import (
     ElectionConfig,
     EraConfig,
     GPBFTConfig,
+    TopologySpec,
 )
-from repro.core import GPBFTDeployment
+from repro.common.errors import ConfigurationError
 from repro.geo.coords import LatLng
 from repro.common.eventlog import EV_BLOCK_COMMITTED, EV_GPBFT_HALTED_BELOW_MINIMUM, EV_TX_COMMITTED
 
@@ -37,7 +38,7 @@ def fast_config(max_endorsers=40, min_endorsers=4, era_period=7200.0):
 
 class TestTransactionFlow:
     def test_device_transaction_commits_on_all_ledgers(self):
-        dep = GPBFTDeployment(n_nodes=12, n_endorsers=4, seed=1)
+        dep = TopologySpec.single(12, 4, seed=1).build()
         rid = dep.submit_from(10)
         dep.run(until=120)
         assert rid in dep.nodes[10].client.completed
@@ -46,17 +47,16 @@ class TestTransactionFlow:
             assert endorser.ledger.height == 1
 
     def test_endorser_can_submit_too(self):
-        dep = GPBFTDeployment(n_nodes=6, n_endorsers=6, seed=2)
+        dep = TopologySpec.single(6, 6, seed=2).build()
         rid = dep.submit_from(3)
         dep.run(until=120)
         assert rid in dep.nodes[3].client.completed
 
     def test_latency_flat_beyond_committee_cap(self):
         def mean_latency(n_nodes):
-            dep = GPBFTDeployment(
-                n_nodes=n_nodes, config=fast_config(max_endorsers=8),
-                seed=3, start_reports=False,
-            )
+            dep = TopologySpec.single(n_nodes,
+                                      config=fast_config(max_endorsers=8),
+                                      seed=3, start_reports=False).build()
             rids = [dep.submit_from(i) for i in range(min(3, n_nodes))]
             dep.run(until=600)
             lats = dep.completed_latencies()
@@ -69,14 +69,14 @@ class TestTransactionFlow:
         assert large < small * 1.5
 
     def test_transactions_feed_election_table(self):
-        dep = GPBFTDeployment(n_nodes=10, n_endorsers=4, seed=4)
+        dep = TopologySpec.single(10, 4, seed=4).build()
         dep.submit_from(9)
         dep.run(until=120)
         endorser = dep.nodes[0]
         assert 9 in endorser.election_table.tracked_nodes
 
     def test_geo_reports_populate_tables(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=4, config=fast_config(), seed=5)
+        dep = TopologySpec.single(8, 4, config=fast_config(), seed=5).build()
         dep.run(until=3 * 900.0 + 10)
         endorser = dep.nodes[0]
         assert len(endorser.election_table.tracked_nodes) >= 6
@@ -84,14 +84,14 @@ class TestTransactionFlow:
 
 class TestEraSwitches:
     def test_devices_elected_after_stationarity(self):
-        dep = GPBFTDeployment(n_nodes=10, n_endorsers=4, config=fast_config(), seed=6)
+        dep = TopologySpec.single(10, 4, config=fast_config(), seed=6).build()
         dep.run(until=2 * 7200.0 + 200)
         assert dep.nodes[0].era >= 1
         assert len(dep.committee) == 10
         assert dep.ledgers_consistent()
 
     def test_new_endorsers_chain_synced(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=4, config=fast_config(), seed=7)
+        dep = TopologySpec.single(8, 4, config=fast_config(), seed=7).build()
         rid = dep.submit_from(7)
         dep.run(until=120)
         height_before = dep.nodes[0].ledger.height
@@ -101,7 +101,8 @@ class TestEraSwitches:
             assert node.ledger.height >= height_before
 
     def test_moved_endorser_evicted(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=5, config=fast_config(max_endorsers=5), seed=8)
+        dep = TopologySpec.single(8, 5, config=fast_config(max_endorsers=5),
+                                  seed=8).build()
         mover = dep.nodes[2]
         def wander():
             mover.move_to(LatLng(mover.position.lat + 0.001, mover.position.lng))
@@ -114,8 +115,8 @@ class TestEraSwitches:
     def test_silent_endorser_evicted_for_sparse_reports(self):
         # GPS outage: an endorser that stops reporting fails Algorithm 1's
         # Len(G) < n test and is evicted at the next audit
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=5,
-                              config=fast_config(max_endorsers=5), seed=42)
+        dep = TopologySpec.single(8, 5, config=fast_config(max_endorsers=5),
+                                  seed=42).build()
         silent = dep.nodes[3]
         def stop_reporting():
             if silent._report_timer is not None:
@@ -127,21 +128,21 @@ class TestEraSwitches:
         assert dep.ledgers_consistent()
 
     def test_committee_never_exceeds_max(self):
-        dep = GPBFTDeployment(n_nodes=12, n_endorsers=4,
-                              config=fast_config(max_endorsers=6), seed=9)
+        dep = TopologySpec.single(12, 4, config=fast_config(max_endorsers=6),
+                                  seed=9).build()
         dep.run(until=3 * 7200.0 + 200)
         assert len(dep.committee) == 6
 
     def test_devices_learn_new_committee(self):
-        dep = GPBFTDeployment(n_nodes=14, n_endorsers=4,
-                              config=fast_config(max_endorsers=6), seed=10)
+        dep = TopologySpec.single(14, 4, config=fast_config(max_endorsers=6),
+                                  seed=10).build()
         dep.run(until=2 * 7200.0 + 200)
         committee = dep.committee
         for _, node in sorted(dep.nodes.items()):
             assert node.committee == committee
 
     def test_forced_switch_preserves_consistency(self):
-        dep = GPBFTDeployment(n_nodes=10, n_endorsers=6, seed=11, start_reports=False)
+        dep = TopologySpec.single(10, 6, seed=11, start_reports=False).build()
         dep.submit_from(8)
         dep.run(until=60)
         dep.force_era_switch()
@@ -153,7 +154,7 @@ class TestEraSwitches:
         assert dep.ledgers_consistent()
 
     def test_no_commit_during_switch_period(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=6, seed=12, start_reports=False)
+        dep = TopologySpec.single(8, 6, seed=12, start_reports=False).build()
         dep.force_era_switch()
         dep.run(until=300)
         node = dep.nodes[0]
@@ -165,7 +166,7 @@ class TestEraSwitches:
             assert not (start <= event.at < end)
 
     def test_in_flight_tx_survives_switch(self):
-        dep = GPBFTDeployment(n_nodes=12, n_endorsers=8, seed=13, start_reports=False)
+        dep = TopologySpec.single(12, 8, seed=13, start_reports=False).build()
         # submit, then force the switch while consensus is in flight
         rid = dep.submit_from(10)
         dep.sim.schedule(1.0, dep.force_era_switch)
@@ -174,7 +175,7 @@ class TestEraSwitches:
         assert dep.ledgers_consistent()
 
     def test_era_history_records_switch(self):
-        dep = GPBFTDeployment(n_nodes=6, n_endorsers=6, seed=14, start_reports=False)
+        dep = TopologySpec.single(6, 6, seed=14, start_reports=False).build()
         dep.force_era_switch()
         dep.run(until=120)
         record = dep.nodes[0].era_history.current
@@ -188,7 +189,7 @@ class TestMinimumHalt:
         # the committee to 4 < min: the system must halt new transactions
         # (paper III-C) and recover once fresh candidates are elected
         config = fast_config(max_endorsers=8, min_endorsers=6)
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=6, config=config, seed=40)
+        dep = TopologySpec.single(8, 6, config=config, seed=40).build()
         moving = {4, 5, 6, 7}
 
         def keep_moving(node_id: int) -> None:
@@ -229,8 +230,8 @@ class TestMinimumHalt:
 
 class TestBlockMode:
     def test_blocks_batch_transactions(self):
-        dep = GPBFTDeployment(n_nodes=12, n_endorsers=4, seed=15,
-                              mode="block", block_interval_s=2.0)
+        dep = TopologySpec.single(12, 4, seed=15, mode="block",
+                                  block_interval_s=2.0).build()
         for i in range(6, 12):
             dep.submit_from(i)
         dep.run(until=300)
@@ -244,8 +245,8 @@ class TestBlockMode:
         assert total_txs == 6
 
     def test_producer_rewarded_70_30(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=4, seed=16,
-                              mode="block", block_interval_s=2.0)
+        dep = TopologySpec.single(8, 4, seed=16, mode="block",
+                                  block_interval_s=2.0).build()
         dep.submit_from(6)
         dep.run(until=300)
         endorser = dep.nodes[0]
@@ -256,8 +257,8 @@ class TestBlockMode:
         assert endorser.incentive.balance(producer) == pytest.approx(0.7 * fee)
 
     def test_mempool_drained_after_commit(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=4, seed=17,
-                              mode="block", block_interval_s=2.0)
+        dep = TopologySpec.single(8, 4, seed=17, mode="block",
+                                  block_interval_s=2.0).build()
         for i in range(4, 8):
             dep.submit_from(i)
         dep.run(until=300)
@@ -265,26 +266,23 @@ class TestBlockMode:
             assert len(endorser.mempool) == 0
 
     def test_unknown_mode_rejected(self):
-        from repro.common.errors import ConsensusError
-        with pytest.raises(ConsensusError):
-            GPBFTDeployment(n_nodes=6, n_endorsers=4, mode="bogus")
+        with pytest.raises(ConfigurationError):
+            TopologySpec.single(6, 4, mode="bogus")
 
 
 class TestDeploymentValidation:
     def test_too_few_endorsers(self):
-        from repro.common.errors import ConsensusError
-        with pytest.raises(ConsensusError):
-            GPBFTDeployment(n_nodes=10, n_endorsers=2)
+        with pytest.raises(ConfigurationError):
+            TopologySpec.single(10, 2)
 
     def test_more_endorsers_than_nodes(self):
-        from repro.common.errors import ConsensusError
-        with pytest.raises(ConsensusError):
-            GPBFTDeployment(n_nodes=4, n_endorsers=8)
+        with pytest.raises(ConfigurationError):
+            TopologySpec.single(4, 8)
 
     def test_default_committee_is_min_n_and_cap(self):
-        dep = GPBFTDeployment(n_nodes=10, config=fast_config(max_endorsers=6))
+        dep = TopologySpec.single(10, config=fast_config(max_endorsers=6)).build()
         assert len(dep.committee) == 6
-        dep = GPBFTDeployment(n_nodes=5, config=fast_config(max_endorsers=6))
+        dep = TopologySpec.single(5, config=fast_config(max_endorsers=6)).build()
         assert len(dep.committee) == 5
 
 
@@ -295,8 +293,8 @@ class TestCombinedConditions:
         config = fast_config()
         config = config.replace(network=replace(config.network,
                                                 drop_probability=0.03, seed=60))
-        dep = GPBFTDeployment(n_nodes=10, n_endorsers=6, config=config,
-                              seed=60, start_reports=False)
+        dep = TopologySpec.single(10, 6, config=config, seed=60,
+                                  start_reports=False).build()
         rid1 = dep.submit_from(8)
         dep.sim.schedule(1.0, dep.force_era_switch)
         dep.run(until=3000)
@@ -308,8 +306,7 @@ class TestCombinedConditions:
         assert dep.ledgers_consistent()
 
     def test_back_to_back_era_switches(self):
-        dep = GPBFTDeployment(n_nodes=8, n_endorsers=6, seed=61,
-                              start_reports=False)
+        dep = TopologySpec.single(8, 6, seed=61, start_reports=False).build()
         for k in range(3):
             dep.sim.schedule(1.0 + 30.0 * k, dep.force_era_switch)
         rid = dep.submit_from(7)
@@ -324,7 +321,7 @@ class TestCombinedConditions:
     def test_churn_with_continuous_load(self):
         # transactions keep flowing while the committee grows via audits
         config = fast_config(max_endorsers=8)
-        dep = GPBFTDeployment(n_nodes=10, n_endorsers=4, config=config, seed=62)
+        dep = TopologySpec.single(10, 4, config=config, seed=62).build()
         submitted = []
 
         ticks = itertools.count()

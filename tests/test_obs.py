@@ -14,8 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.common.config import GPBFTConfig
-from repro.core.deployment import GPBFTDeployment
+from repro.common.config import GPBFTConfig, TopologySpec
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.tracer import MessageTracer
@@ -279,8 +278,8 @@ class TestZeroOverhead:
     def _run(self, obs):
         base = GPBFTConfig()
         config = base.replace(network=replace(base.network, seed=7))
-        dep = GPBFTDeployment(n_nodes=10, config=config, seed=7,
-                              start_reports=False, obs=obs)
+        dep = TopologySpec.single(10, config=config, seed=7,
+                                  start_reports=False).build(obs=obs)
         ids = sorted(dep.nodes)
         for k in range(5):
             dep.sim.schedule_at(1.0 + 0.75 * k, dep.submit_from,

@@ -7,14 +7,14 @@ retry path.
 
 import pytest
 
-from repro.common.config import GPBFTConfig, NetworkConfig, PBFTConfig
-from repro.common.errors import ConsensusError
-from repro.pbft import (
-    CrashFaults,
-    EquivocatingFaults,
-    PBFTCluster,
-    RawOperation,
+from repro.common.config import (
+    GPBFTConfig,
+    NetworkConfig,
+    PBFTConfig,
+    TopologySpec,
 )
+from repro.common.errors import ConfigurationError, ConsensusError
+from repro.pbft import CrashFaults, EquivocatingFaults, RawOperation
 from repro.pbft.faults import MuteFaults, SelectiveDropFaults
 from repro.common.eventlog import EV_PBFT_STATE_TRANSFER
 
@@ -28,14 +28,14 @@ def fast_config(**pbft_overrides) -> GPBFTConfig:
 
 class TestNormalCase:
     def test_single_request_commits_everywhere(self):
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=60)
         assert rid in cluster.any_client.completed
         assert all(cluster.committed_ops(n) == ["op"] for n in cluster.replicas)
 
     def test_many_requests_identical_order(self):
-        cluster = PBFTCluster(7, 3)
+        cluster = TopologySpec.cluster(7, 3).build()
         for i, cid in enumerate(sorted(cluster.clients) * 4):
             cluster.clients[cid].submit(RawOperation(f"op-{i}"))
         cluster.run(until=600)
@@ -45,7 +45,7 @@ class TestNormalCase:
 
     def test_latency_grows_with_committee_size(self):
         def latency(n):
-            cluster = PBFTCluster(n, 1)
+            cluster = TopologySpec.cluster(n, 1).build()
             rid = cluster.submit(RawOperation("x"))
             cluster.run(until=600)
             return cluster.any_client.completed[rid]
@@ -53,11 +53,11 @@ class TestNormalCase:
         assert latency(16) > latency(4)
 
     def test_committee_below_four_rejected(self):
-        with pytest.raises(ConsensusError):
-            PBFTCluster(3, 1)
+        with pytest.raises(ConfigurationError):
+            TopologySpec.cluster(3, 1)
 
     def test_duplicate_submission_is_single_execution(self):
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
         client = cluster.any_client
         op = RawOperation("dup")
         client.submit(op)
@@ -69,7 +69,7 @@ class TestNormalCase:
 class TestCheckpoints:
     def test_stable_checkpoint_advances_watermark(self):
         config = fast_config(checkpoint_interval=4, watermark_window=16)
-        cluster = PBFTCluster(4, 1, config=config)
+        cluster = TopologySpec.cluster(4, 1, config=config).build()
         for i in range(8):
             cluster.submit(RawOperation(f"op-{i}"))
         cluster.run(until=300)
@@ -79,7 +79,7 @@ class TestCheckpoints:
 
     def test_log_garbage_collected(self):
         config = fast_config(checkpoint_interval=2, watermark_window=8)
-        cluster = PBFTCluster(4, 1, config=config)
+        cluster = TopologySpec.cluster(4, 1, config=config).build()
         for i in range(6):
             cluster.submit(RawOperation(f"op-{i}"))
         cluster.run(until=300)
@@ -91,7 +91,7 @@ class TestCheckpoints:
         # window of 4 with 6 requests: the last two must wait for a
         # checkpoint, then commit
         config = fast_config(checkpoint_interval=2, watermark_window=4)
-        cluster = PBFTCluster(4, 1, config=config)
+        cluster = TopologySpec.cluster(4, 1, config=config).build()
         for i in range(6):
             cluster.submit(RawOperation(f"op-{i}"))
         cluster.run(until=600)
@@ -100,8 +100,8 @@ class TestCheckpoints:
 
 class TestViewChange:
     def test_crashed_primary_replaced(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build(
+            faults={0: CrashFaults(crashed=True)})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=600)
         assert rid in cluster.any_client.completed
@@ -110,7 +110,7 @@ class TestViewChange:
         assert cluster.all_agree()
 
     def test_progress_after_mid_run_crash(self):
-        cluster = PBFTCluster(4, 1, config=fast_config())
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build()
         cluster.submit(RawOperation("before"))
         cluster.run(until=30)
         cluster.replicas[0].faults = CrashFaults(crashed=True)
@@ -122,16 +122,16 @@ class TestViewChange:
         assert ops == ["before", "after"]
 
     def test_two_successive_primary_crashes(self):
-        cluster = PBFTCluster(7, 1, config=fast_config(),
-                              faults={0: CrashFaults(crashed=True),
-                                      1: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(7, 1, config=fast_config()).build(
+            faults={0: CrashFaults(crashed=True),
+                    1: CrashFaults(crashed=True)})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=2000)
         assert rid in cluster.any_client.completed
         assert cluster.all_agree()
 
     def test_executed_requests_not_reexecuted_after_view_change(self):
-        cluster = PBFTCluster(4, 1, config=fast_config())
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build()
         cluster.submit(RawOperation("op-a"))
         cluster.run(until=30)
         cluster.replicas[0].faults = CrashFaults(crashed=True)
@@ -144,39 +144,39 @@ class TestViewChange:
 
 class TestByzantine:
     def test_equivocating_primary_never_violates_safety(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: EquivocatingFaults()})
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build(
+            faults={0: EquivocatingFaults()})
         cluster.submit(RawOperation("op"))
         cluster.run(until=2000)
         assert cluster.all_agree()
 
     def test_mute_replica_does_not_block_quorum(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={3: MuteFaults()})
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build(
+            faults={3: MuteFaults()})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=600)
         assert rid in cluster.any_client.completed
 
     def test_commit_dropping_backup_tolerated(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={2: SelectiveDropFaults({"pbft.commit"})})
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build(
+            faults={2: SelectiveDropFaults({"pbft.commit"})})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=600)
         assert rid in cluster.any_client.completed
 
     def test_f_crashes_tolerated_but_f_plus_one_blocks(self):
         # f = 2 for n = 7: two crashes fine
-        cluster = PBFTCluster(7, 1, config=fast_config(),
-                              faults={5: CrashFaults(crashed=True),
-                                      6: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(7, 1, config=fast_config()).build(
+            faults={5: CrashFaults(crashed=True),
+                    6: CrashFaults(crashed=True)})
         rid = cluster.submit(RawOperation("ok"))
         cluster.run(until=600)
         assert rid in cluster.any_client.completed
         # three crashes (f+1): no commitment possible
-        cluster = PBFTCluster(7, 1, config=fast_config(),
-                              faults={4: CrashFaults(crashed=True),
-                                      5: CrashFaults(crashed=True),
-                                      6: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(7, 1, config=fast_config()).build(
+            faults={4: CrashFaults(crashed=True),
+                    5: CrashFaults(crashed=True),
+                    6: CrashFaults(crashed=True)})
         rid = cluster.submit(RawOperation("stuck"))
         cluster.run(until=2000)
         assert rid not in cluster.any_client.completed
@@ -188,7 +188,8 @@ class TestStateTransfer:
 
         config = fast_config(checkpoint_interval=4, watermark_window=32)
         faults = {3: CrashFaults(crashed=False)}
-        return PBFTCluster(4, 1, config=config, faults=faults), faults
+        spec = TopologySpec.cluster(4, 1, config=config)
+        return spec.build(faults=faults), faults
 
     def test_recovered_replica_catches_up_via_checkpoint(self):
         cluster, faults = self._cluster()
@@ -225,20 +226,20 @@ class TestClient:
     def test_retry_broadcast_reaches_new_primary(self):
         # primary silently drops requests (but participates otherwise):
         # the client's retry broadcast must trigger recovery
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: SelectiveDropFaults({"pbft.request"})})
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build(
+            faults={0: SelectiveDropFaults({"pbft.request"})})
         rid = cluster.submit(RawOperation("op"))
         cluster.run(until=2000)
         assert rid in cluster.any_client.completed
 
     def test_view_hint_follows_replies(self):
-        cluster = PBFTCluster(4, 1, config=fast_config(),
-                              faults={0: CrashFaults(crashed=True)})
+        cluster = TopologySpec.cluster(4, 1, config=fast_config()).build(
+            faults={0: CrashFaults(crashed=True)})
         cluster.submit(RawOperation("op"))
         cluster.run(until=600)
         assert cluster.any_client.believed_primary == 1
 
     def test_update_committee_validates(self):
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
         with pytest.raises(ConsensusError):
             cluster.any_client.update_committee(())

@@ -7,10 +7,10 @@ from repro.common.config import (
     ElectionConfig,
     EraConfig,
     GPBFTConfig,
+    TopologySpec,
 )
 from repro.common.errors import ConsensusError
 from repro.common.rng import DeterministicRNG
-from repro.core import GPBFTDeployment
 from repro.geo.coords import LatLng, Region
 from repro.geo.reports import GeoReport
 from repro.geo.verification import LocationAuditor
@@ -35,10 +35,9 @@ FAST = GPBFTConfig(
 
 
 def protected_deployment(seed=7):
-    return GPBFTDeployment(
-        n_nodes=10, n_endorsers=4, config=FAST, seed=seed,
-        sybil_protection=True, region=DENSE, witness_range_m=200.0,
-    )
+    return TopologySpec.single(10, 4, config=FAST, seed=seed,
+                               sybil_protection=True, region=DENSE,
+                               witness_range_m=200.0).build()
 
 
 class TestAttackerModel:
@@ -141,8 +140,8 @@ class TestEndToEndAttack:
         assert len(honest) == 10
 
     def test_unprotected_deployment_is_taken_over(self):
-        dep = GPBFTDeployment(n_nodes=10, n_endorsers=4, config=FAST, seed=7,
-                              sybil_protection=False, region=DENSE)
+        dep = TopologySpec.single(10, 4, config=FAST, seed=7,
+                                  sybil_protection=False, region=DENSE).build()
         attacker = dep.add_sybils(12, strategy=SybilStrategy.EMPTY_CELL)
         dep.run(until=3 * 7200.0 + 100)
         assert attacker.controls_consensus(dep.committee)

@@ -7,7 +7,8 @@ from repro.net.message import RawPayload
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.tracer import MessageTracer
-from repro.pbft import PBFTCluster, RawOperation
+from repro.common.config import TopologySpec
+from repro.pbft import RawOperation
 
 
 def small_net():
@@ -77,7 +78,7 @@ class TestCapture:
 
 class TestQueriesAndRendering:
     def _traced_consensus(self):
-        cluster = PBFTCluster(4, 1)
+        cluster = TopologySpec.cluster(4, 1).build()
         tracer = MessageTracer(cluster.network, kinds=("pbft.",))
         cluster.submit(RawOperation("op"))
         cluster.run(until=60)
